@@ -197,34 +197,28 @@ impl SharedVat {
         self.allocated().count()
     }
 
-    fn resident_sets(&self) -> usize {
-        self.allocated().map(draco_cuckoo::ConcurrentTable::len).sum()
-    }
-
-    /// Packed-record footprint, costed like the serial VAT (48 value
-    /// bytes + an 8-byte hash/metadata word per slot) so shared and
-    /// per-thread runs report comparable numbers.
-    fn footprint_bytes(&self) -> usize {
-        const ENTRY_BYTES: usize = 48 + 8;
-        self.allocated()
-            .map(|t| t.capacity() * ENTRY_BYTES)
-            .sum()
-    }
-
-    /// Writer-side counters aggregated across tables. Reader hits and
-    /// misses live in each thread's [`CheckerStats`] (the lock-free read
-    /// path owns no shared counters), so this section reports insertion
-    /// traffic only.
-    fn cuckoo_metrics(&self) -> CuckooMetrics {
-        let mut merged = CuckooMetrics::default();
+    /// Writer-side counters and occupancy gauges in one pass, taking each
+    /// table's writer lock once. Reader hits and misses live in each
+    /// thread's [`CheckerStats`] (the lock-free read path owns no shared
+    /// counters), so the cuckoo section reports insertion traffic only.
+    /// The footprint is costed like the serial VAT (48 value bytes + an
+    /// 8-byte hash/metadata word per slot) so shared and per-thread runs
+    /// report comparable numbers.
+    fn metrics(&self) -> (CuckooMetrics, VatMetrics) {
+        const ENTRY_BYTES: u64 = 48 + 8;
+        let mut cuckoo = CuckooMetrics::default();
+        let mut vat = VatMetrics::default();
         for table in self.allocated() {
             let stats = table.stats();
-            merged.insertions = merged.insertions.saturating_add(stats.insertions);
-            merged.updates = merged.updates.saturating_add(stats.updates);
-            merged.evictions = merged.evictions.saturating_add(stats.evictions);
-            merged.relocations = merged.relocations.saturating_add(stats.relocations);
+            cuckoo.insertions = cuckoo.insertions.saturating_add(stats.insertions);
+            cuckoo.updates = cuckoo.updates.saturating_add(stats.updates);
+            cuckoo.evictions = cuckoo.evictions.saturating_add(stats.evictions);
+            cuckoo.relocations = cuckoo.relocations.saturating_add(stats.relocations);
+            vat.tables += 1;
+            vat.resident_sets += stats.occupied as u64;
+            vat.footprint_bytes += table.capacity() as u64 * ENTRY_BYTES;
         }
-        merged
+        (cuckoo, vat)
     }
 }
 
@@ -522,6 +516,14 @@ impl SharedDracoProcess {
         self.state.alive.load(Ordering::Acquire)
     }
 
+    /// Terminates the process group, as `execve` and exit kill sibling
+    /// threads: from now on [`SharedThreadHandle::syscall`] and
+    /// [`SharedThreadHandle::syscall_batch`] on every handle answer
+    /// `KillProcess` without reaching the tables.
+    pub fn kill(&self) {
+        self.state.alive.store(false, Ordering::Release);
+    }
+
     /// The installed profile (a clone — the live spec sits behind the
     /// policy lock).
     pub fn profile(&self) -> ProfileSpec {
@@ -773,6 +775,7 @@ impl SharedDracoProcess {
     /// table counters (reader traffic is thread-local by design), and
     /// the `vat` occupancy gauges.
     pub fn metrics(&self) -> MetricsRegistry {
+        let (cuckoo, vat) = self.state.vat.metrics();
         let policy = self.state.read_policy();
         let aggregate = self.state.lock_aggregate();
         let stats = aggregate.stats;
@@ -800,12 +803,8 @@ impl SharedDracoProcess {
                 insns_per_filter_run: aggregate.insns_per_filter_run,
                 saved_insns_per_hit: aggregate.saved_insns_per_hit,
             },
-            cuckoo: self.state.vat.cuckoo_metrics(),
-            vat: VatMetrics {
-                tables: self.state.vat.table_count() as u64,
-                resident_sets: self.state.vat.resident_sets() as u64,
-                footprint_bytes: self.state.vat.footprint_bytes() as u64,
-            },
+            cuckoo,
+            vat,
             ..MetricsRegistry::default()
         }
     }

@@ -6,10 +6,23 @@
 //! enabled), a submission queue, and a latency histogram. The service
 //! multiplexes every tenant over one request loop: callers
 //! [`DracoService::submit`] requests at any time, and each
-//! [`DracoService::drain`] round walks the registry in tenant order,
-//! popping up to `batch` requests per pass into
+//! [`DracoService::drain`] round walks the tenants with queued work in
+//! tenant order, popping up to `batch` requests per pass into
 //! [`SharedThreadHandle::check_batch`] (the staged batch pipeline) until
 //! every queue is empty.
+//!
+//! # Cost of a drain
+//!
+//! A drain costs work proportional to the tenants it serves and the
+//! requests it checks, not to the size of the fleet. `submit` records a
+//! tenant on a ready list when its queue stops being empty, so a drain
+//! never walks idle tenants. The service keeps one running
+//! [`MetricsRegistry`] total; each tenant remembers its contribution to
+//! it as of its last refresh, and a refresh swaps that contribution for
+//! the process's current metrics. Once every decision is delivered, a
+//! drain refreshes the tenants it served plus the tenants with
+//! [`DracoService::spawn_worker`] handles (whose traffic can land at any
+//! time); a control-plane call refreshes only the tenant it touches.
 //!
 //! # Isolation
 //!
@@ -214,10 +227,21 @@ struct Tenant {
     cache_hits: u64,
     /// Stats of processes this tenant already replaced via `exec`.
     prior_stats: CheckerStats,
-    prior_metrics: MetricsRegistry,
+    /// This tenant's contribution to the service's running metrics
+    /// total: its process's metrics as of its last refresh.
+    seen: MetricsRegistry,
 }
 
 impl Tenant {
+    /// Swaps this tenant's contribution to `total` for its process's
+    /// current metrics.
+    fn refresh(&mut self, total: &mut MetricsRegistry) {
+        let fresh = self.process.metrics();
+        *total = total.delta_since(&self.seen);
+        total.merge(&fresh);
+        self.seen = fresh;
+    }
+
     fn snapshot(&self, id: TenantId) -> TenantSnapshot {
         TenantSnapshot {
             id,
@@ -268,10 +292,23 @@ pub struct DracoService {
     epoch: Instant,
     latency_pool: Histogram,
     counters: ServiceCounters,
-    /// Checker stats/metrics of retired tenants, folded in so service
-    /// totals stay monotone across departures.
+    /// Checker stats of retired tenants, folded in so service totals
+    /// stay monotone across departures.
     retired_stats: CheckerStats,
+    /// Metrics of every retired tenant and exec-replaced process plus
+    /// each live tenant's `seen`: the service's running metrics total.
+    total: MetricsRegistry,
+    /// Metrics of retired tenants and exec-replaced processes alone,
+    /// kept for the from-scratch re-merge the tests check `total`
+    /// against.
+    #[cfg(test)]
     retired_metrics: MetricsRegistry,
+    /// Tenants whose queue became non-empty since the last drain, in
+    /// submission order (a retired tenant may linger until then).
+    ready: Vec<TenantId>,
+    /// Tenants whose current process has handed out
+    /// [`DracoService::spawn_worker`] handles.
+    workers: Vec<TenantId>,
     scratch_reqs: Vec<SyscallRequest>,
     scratch_out: Vec<CheckResult>,
 }
@@ -303,7 +340,11 @@ impl DracoService {
             latency_pool: Histogram::default(),
             counters: ServiceCounters::default(),
             retired_stats: CheckerStats::default(),
+            total: MetricsRegistry::default(),
+            #[cfg(test)]
             retired_metrics: MetricsRegistry::default(),
+            ready: Vec::new(),
+            workers: Vec::new(),
             scratch_reqs: Vec::new(),
             scratch_out: Vec::new(),
         }
@@ -335,23 +376,22 @@ impl DracoService {
     ) -> TenantId {
         let id = self.alloc_id();
         let handle = process.spawn_thread();
-        self.tenants.insert(
-            id,
-            Tenant {
-                process,
-                handle,
-                queue: VecDeque::new(),
-                profile_name,
-                parent,
-                latency_ns: Histogram::default(),
-                checks: 0,
-                allowed: 0,
-                denials: 0,
-                cache_hits: 0,
-                prior_stats: CheckerStats::default(),
-                prior_metrics: MetricsRegistry::default(),
-            },
-        );
+        let mut tenant = Tenant {
+            process,
+            handle,
+            queue: VecDeque::new(),
+            profile_name,
+            parent,
+            latency_ns: Histogram::default(),
+            checks: 0,
+            allowed: 0,
+            denials: 0,
+            cache_hits: 0,
+            prior_stats: CheckerStats::default(),
+            seen: MetricsRegistry::default(),
+        };
+        tenant.refresh(&mut self.total);
+        self.tenants.insert(id, tenant);
         id
     }
 
@@ -396,7 +436,10 @@ impl DracoService {
     /// Execs a tenant: replaces its process with a fresh spawn of a new
     /// profile under the *same* tenant/process id (exec keeps the pid
     /// but resets every table — paper §VII-B). Counters and queued
-    /// requests carry over; cached validations do not.
+    /// requests carry over; cached validations do not. The replaced
+    /// process is killed, so [`DracoService::spawn_worker`] handles on
+    /// it answer `KillProcess` from [`SharedThreadHandle::syscall`], as
+    /// `execve` kills sibling threads.
     ///
     /// # Errors
     ///
@@ -414,11 +457,19 @@ impl DracoService {
         let process = self.spawn_process(pid, profile)?;
         let tenant = self.tenants.get_mut(&id).expect("checked above");
         tenant.handle.sync_stats();
+        tenant.refresh(&mut self.total);
+        // The replaced process's final metrics stay in the total, now as
+        // a retired contribution.
+        #[cfg(test)]
+        self.retired_metrics.merge(&tenant.seen);
+        tenant.seen = MetricsRegistry::default();
         tenant.prior_stats.accumulate(&tenant.process.stats());
-        tenant.prior_metrics.merge(&tenant.process.metrics());
+        tenant.process.kill();
         tenant.handle = process.spawn_thread();
         tenant.process = process;
         tenant.profile_name = profile.name().to_owned();
+        tenant.refresh(&mut self.total);
+        self.workers.retain(|&w| w != id);
         self.counters.execs += 1;
         Ok(())
     }
@@ -445,7 +496,11 @@ impl DracoService {
             .tenants
             .get_mut(&id)
             .ok_or(ServiceError::UnknownTenant(id))?;
-        match tenant.process.install_additional_with(extra, policy) {
+        let result = tenant.process.install_additional_with(extra, policy);
+        // Either verdict is counted in the process's metrics, and an
+        // admitted one flushes its tables.
+        tenant.refresh(&mut self.total);
+        match result {
             Ok(decision) => {
                 tenant.profile_name = tenant.process.profile().name().to_owned();
                 self.counters.reloads_permitted += 1;
@@ -466,11 +521,14 @@ impl DracoService {
     /// Returns [`ServiceError::UnknownTenant`] for an unregistered
     /// tenant.
     pub fn submit(&mut self, id: TenantId, req: SyscallRequest) -> Result<(), ServiceError> {
-        self.tenants
+        let tenant = self
+            .tenants
             .get_mut(&id)
-            .ok_or(ServiceError::UnknownTenant(id))?
-            .queue
-            .push_back(req);
+            .ok_or(ServiceError::UnknownTenant(id))?;
+        if tenant.queue.is_empty() {
+            self.ready.push(id);
+        }
+        tenant.queue.push_back(req);
         Ok(())
     }
 
@@ -489,6 +547,9 @@ impl DracoService {
             .tenants
             .get_mut(&id)
             .ok_or(ServiceError::UnknownTenant(id))?;
+        if tenant.queue.is_empty() && !reqs.is_empty() {
+            self.ready.push(id);
+        }
         tenant.queue.extend(reqs.iter().copied());
         Ok(())
     }
@@ -501,23 +562,26 @@ impl DracoService {
 
     /// Drains every tenant's queue, invoking `sink` with each decision
     /// in service order (tenants ascending; each tenant's requests in
-    /// submission order). Tenants are walked in id order and popped in
-    /// `batch`-sized passes, so one noisy tenant cannot starve the rest
-    /// of a round. After the round, one interval is pushed into the
-    /// metrics window.
+    /// submission order). Tenants with queued work are walked in id
+    /// order and popped in `batch`-sized passes, so one noisy tenant
+    /// cannot starve the rest of a round. After the round, one interval
+    /// of the running metrics total is pushed into the metrics window.
     pub fn drain_with(
         &mut self,
         mut sink: impl FnMut(TenantId, &SyscallRequest, CheckResult),
     ) -> DrainSummary {
         let mut summary = DrainSummary::default();
         let batch = self.cfg.batch.max(1);
-        let ids: Vec<TenantId> = self.tenants.keys().copied().collect();
-        for id in ids {
-            let tenant = self.tenants.get_mut(&id).expect("registry unchanged");
-            if tenant.queue.is_empty() {
+        let mut ready = core::mem::take(&mut self.ready);
+        // Ascending ids: the order a walk of the whole registry takes.
+        ready.sort_unstable();
+        for &id in &ready {
+            // Tenants retired since they queued work are gone.
+            let Some(tenant) = self.tenants.get_mut(&id) else {
                 continue;
-            }
+            };
             summary.tenants_served += 1;
+            let mut checks = 0;
             while !tenant.queue.is_empty() {
                 let take = batch.min(tenant.queue.len());
                 self.scratch_reqs.clear();
@@ -532,23 +596,39 @@ impl DracoService {
                 tenant.latency_ns.record_n(per_req, take as u64);
                 self.latency_pool.record_n(per_req, take as u64);
                 summary.batches += 1;
+                checks += take as u64;
                 for (req, decision) in self.scratch_reqs.iter().zip(self.scratch_out.iter()) {
-                    summary.checks += 1;
-                    summary.allowed += u64::from(decision.action.permits());
-                    summary.denials += u64::from(!decision.action.permits());
-                    summary.cache_hits += u64::from(decision.path.is_cache_hit());
-                    tenant.checks += 1;
-                    tenant.allowed += u64::from(decision.action.permits());
-                    tenant.denials += u64::from(!decision.action.permits());
-                    tenant.cache_hits += u64::from(decision.path.is_cache_hit());
                     sink(id, req, *decision);
                 }
             }
-            // Fold the handle's session counters into the process
-            // aggregate so `stats()`/`metrics()` are complete at round
-            // boundaries.
-            tenant.handle.sync_stats();
+            // The handle was synced after its last round, so its own
+            // counters classify exactly this round's decisions: only a
+            // filter run denies, and SPT/VAT hits are the cache hits.
+            let session = tenant.handle.stats();
+            let denials = session.denials;
+            let cache_hits = session.spt_hits + session.vat_hits;
+            tenant.checks += checks;
+            tenant.allowed += checks - denials;
+            tenant.denials += denials;
+            tenant.cache_hits += cache_hits;
+            summary.checks += checks;
+            summary.allowed += checks - denials;
+            summary.denials += denials;
+            summary.cache_hits += cache_hits;
         }
+        // Bookkeeping waits until every decision is delivered, so it
+        // delays none of them. Each served handle's session folds into
+        // its process aggregate, so `stats()`/`metrics()` are complete
+        // at round boundaries; worker handles fold their traffic in on
+        // their own schedule.
+        for id in ready.iter().chain(&self.workers) {
+            if let Some(tenant) = self.tenants.get_mut(id) {
+                tenant.handle.sync_stats();
+                tenant.refresh(&mut self.total);
+            }
+        }
+        ready.clear();
+        self.ready = ready;
         self.counters.drain_rounds += 1;
         self.counters.batches += summary.batches;
         self.counters.checks += summary.checks;
@@ -556,8 +636,7 @@ impl DracoService {
         self.counters.denials += summary.denials;
         self.counters.cache_hits += summary.cache_hits;
         let now_ns = self.epoch.elapsed().as_nanos() as u64;
-        let merged = self.metrics();
-        self.window.push(&merged, &self.latency_pool, now_ns);
+        self.window.push(&self.total, &self.latency_pool, now_ns);
         summary
     }
 
@@ -565,7 +644,9 @@ impl DracoService {
     /// stats and metrics into the service totals, and discards anything
     /// still queued (counted in
     /// [`ServiceCounters::dropped_requests`]). The tenant's id and pid
-    /// are never reused.
+    /// are never reused, and its process is killed, so
+    /// [`DracoService::spawn_worker`] handles on it answer
+    /// `KillProcess` from [`SharedThreadHandle::syscall`].
     ///
     /// # Errors
     ///
@@ -577,11 +658,15 @@ impl DracoService {
             .remove(&id)
             .ok_or(ServiceError::UnknownTenant(id))?;
         tenant.handle.sync_stats();
+        tenant.process.kill();
         let snapshot = tenant.snapshot(id);
         self.retired_stats.accumulate(&tenant.prior_stats);
         self.retired_stats.accumulate(&tenant.process.stats());
-        self.retired_metrics.merge(&tenant.prior_metrics);
-        self.retired_metrics.merge(&tenant.process.metrics());
+        // Its contribution stays in the running total, now as retired.
+        tenant.refresh(&mut self.total);
+        #[cfg(test)]
+        self.retired_metrics.merge(&tenant.seen);
+        self.workers.retain(|&w| w != id);
         self.counters.dropped_requests += tenant.queue.len() as u64;
         self.counters.retired += 1;
         Ok(snapshot)
@@ -589,17 +674,24 @@ impl DracoService {
 
     /// Spawns an extra checking worker on a tenant's shared tables —
     /// external threads can admit syscalls concurrently with the
-    /// service loop (paper §VI: all threads share the SPT/VAT).
+    /// service loop (paper §VI: all threads share the SPT/VAT). From
+    /// then until the tenant's next `exec` or its retirement, every
+    /// drain refreshes the tenant's metrics, and
+    /// [`DracoService::metrics`] reads them fresh.
     ///
     /// # Errors
     ///
     /// Returns [`ServiceError::UnknownTenant`] for an unregistered
     /// tenant.
-    pub fn spawn_worker(&self, id: TenantId) -> Result<SharedThreadHandle, ServiceError> {
-        self.tenants
+    pub fn spawn_worker(&mut self, id: TenantId) -> Result<SharedThreadHandle, ServiceError> {
+        let tenant = self
+            .tenants
             .get(&id)
-            .map(|t| t.process.spawn_thread())
-            .ok_or(ServiceError::UnknownTenant(id))
+            .ok_or(ServiceError::UnknownTenant(id))?;
+        if !self.workers.contains(&id) {
+            self.workers.push(id);
+        }
+        Ok(tenant.process.spawn_thread())
     }
 
     /// Live tenant count.
@@ -666,11 +758,25 @@ impl DracoService {
     }
 
     /// The merged observability registry over every tenant, live and
-    /// retired (complete at round boundaries).
+    /// retired (complete at round boundaries): the running total, with
+    /// the tenants that have worker handles read fresh.
     pub fn metrics(&self) -> MetricsRegistry {
+        let mut total = self.total;
+        for id in &self.workers {
+            if let Some(tenant) = self.tenants.get(id) {
+                total = total.delta_since(&tenant.seen);
+                total.merge(&tenant.process.metrics());
+            }
+        }
+        total
+    }
+
+    /// [`DracoService::metrics`] merged from scratch over every process:
+    /// the oracle the running total must equal.
+    #[cfg(test)]
+    fn remerged_metrics(&self) -> MetricsRegistry {
         let mut merged = self.retired_metrics;
         for tenant in self.tenants.values() {
-            merged.merge(&tenant.prior_metrics);
             merged.merge(&tenant.process.metrics());
         }
         merged
@@ -708,8 +814,10 @@ impl DracoService {
 mod tests {
     use super::*;
     use draco_bpf::SeccompAction;
+    use draco_obs::{CheckerMetrics, CuckooMetrics};
     use draco_profiles::{ProfileGenerator, ProfileKind};
     use draco_syscalls::{ArgSet, SyscallId};
+    use proptest::prelude::*;
 
     fn req(nr: u16, args: &[u64]) -> SyscallRequest {
         SyscallRequest::new(0x1000, SyscallId::new(nr), ArgSet::from_slice(args))
@@ -955,6 +1063,196 @@ mod tests {
         assert!(svc.exec(ghost, &base_profile("x")).is_err());
         assert!(svc.spawn_worker(ghost).is_err());
         assert_eq!(format!("{}", ServiceError::UnknownTenant(ghost)), "unknown tenant tenant:99");
+    }
+
+    /// Requests the exactness proptest draws from: VAT-checked and
+    /// SPT-only, allowed and denied under [`base_profile`].
+    const POOL: [(u16, [u64; 3]); 6] = [
+        (0, [3, 0x1, 64]),
+        (0, [5, 0x2, 128]),
+        (0, [4, 0x1, 64]),
+        (39, [0, 0, 0]),
+        (41, [2, 1, 6]),
+        (2, [1, 2, 3]),
+    ];
+
+    fn pooled(i: usize) -> SyscallRequest {
+        let (nr, args) = POOL[i];
+        req(nr, &args)
+    }
+
+    /// One step of the exactness proptest. Tenant and worker indices are
+    /// reduced modulo the live set, so every sequence applies.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Register,
+        Fork(usize),
+        /// Exec to [`tightened`] (`true`) or [`base_profile`].
+        Exec(usize, bool),
+        /// An admitted (`true`, [`tightened`]) or refused
+        /// ([`relaxed`]) reload.
+        Reload(usize, bool),
+        Retire(usize),
+        Submit(usize, Vec<usize>),
+        Drain,
+        SpawnWorker(usize),
+        /// A worker check, optionally followed by `sync_stats`.
+        WorkerCheck(usize, usize, bool),
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            Just(Op::Register),
+            (0usize..64).prop_map(Op::Fork),
+            (0usize..64, any::<bool>()).prop_map(|(i, tight)| Op::Exec(i, tight)),
+            (0usize..64, any::<bool>()).prop_map(|(i, admit)| Op::Reload(i, admit)),
+            (0usize..64).prop_map(Op::Retire),
+            (
+                0usize..64,
+                proptest::collection::vec(0usize..POOL.len(), 1..12)
+            )
+                .prop_map(|(i, reqs)| Op::Submit(i, reqs)),
+            Just(Op::Drain),
+            Just(Op::Drain),
+            (0usize..64).prop_map(Op::SpawnWorker),
+            (0usize..64, 0usize..POOL.len(), any::<bool>())
+                .prop_map(|(w, r, sync)| Op::WorkerCheck(w, r, sync)),
+        ]
+    }
+
+    /// The sections of a service total that never shrink: the checker
+    /// counters (less the analysis plan's mask tallies, which a reload
+    /// re-derives) and the cuckoo writer counters. The VAT section is
+    /// occupancy gauges, which a flush shrinks.
+    fn monotone(m: &MetricsRegistry) -> (CheckerMetrics, CuckooMetrics) {
+        let checker = CheckerMetrics {
+            masks_derived_match: 0,
+            masks_overridden: 0,
+            ..m.checker
+        };
+        (checker, m.cuckoo)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The running metrics total is exact: after every operation
+        /// `metrics()` equals a from-scratch re-merge over every process,
+        /// every drain seals that same total into the window, the
+        /// window's interval deltas add up to its cumulative, each
+        /// drain's per-batch tallies match its decisions, and the
+        /// per-tenant counters (live plus retired) add up to the service
+        /// counters.
+        #[test]
+        fn running_metrics_total_matches_a_full_remerge(
+            analyzed in any::<bool>(),
+            ops in proptest::collection::vec(arb_op(), 1..48),
+        ) {
+            let mut svc = DracoService::new(ServiceConfig { analyzed, ..ServiceConfig::default() });
+            let mut workers: Vec<SharedThreadHandle> = Vec::new();
+            let mut retired = DrainSummary::default();
+            for op in ops {
+                let live = svc.tenant_ids();
+                let pick = |raw: usize| (!live.is_empty()).then(|| live[raw % live.len()]);
+                match op {
+                    Op::Register => {
+                        svc.register(&base_profile("app")).unwrap();
+                    }
+                    Op::Fork(raw) => {
+                        if let Some(parent) = pick(raw) {
+                            svc.fork(parent).unwrap();
+                        }
+                    }
+                    Op::Exec(raw, tight) => {
+                        if let Some(id) = pick(raw) {
+                            let next = if tight { tightened("next") } else { base_profile("next") };
+                            svc.exec(id, &next).unwrap();
+                        }
+                    }
+                    Op::Reload(raw, admit) => {
+                        if let Some(id) = pick(raw) {
+                            if admit {
+                                svc.reload(id, &tightened("app")).unwrap();
+                            } else {
+                                let refused = matches!(
+                                    svc.reload(id, &relaxed("app")),
+                                    Err(ServiceError::Draco(DracoError::ReloadRejected { .. }))
+                                );
+                                prop_assert!(refused, "a relaxation is refused");
+                            }
+                        }
+                    }
+                    Op::Retire(raw) => {
+                        if let Some(id) = pick(raw) {
+                            let snap = svc.retire(id).unwrap();
+                            retired.checks += snap.checks;
+                            retired.allowed += snap.allowed;
+                            retired.denials += snap.denials;
+                            retired.cache_hits += snap.cache_hits;
+                        }
+                    }
+                    Op::Submit(raw, reqs) => {
+                        if let Some(id) = pick(raw) {
+                            for i in reqs {
+                                svc.submit(id, pooled(i)).unwrap();
+                            }
+                        }
+                    }
+                    Op::Drain => {
+                        let mut tally = DrainSummary::default();
+                        let summary = svc.drain_with(|_, _, d| {
+                            tally.checks += 1;
+                            tally.allowed += u64::from(d.action.permits());
+                            tally.denials += u64::from(!d.action.permits());
+                            tally.cache_hits += u64::from(d.path.is_cache_hit());
+                        });
+                        prop_assert_eq!(
+                            (summary.checks, summary.allowed, summary.denials, summary.cache_hits),
+                            (tally.checks, tally.allowed, tally.denials, tally.cache_hits)
+                        );
+                        let sealed = svc.window().last_slot().unwrap().cumulative;
+                        prop_assert_eq!(sealed, svc.remerged_metrics());
+                    }
+                    Op::SpawnWorker(raw) => {
+                        if let Some(id) = pick(raw) {
+                            workers.push(svc.spawn_worker(id).unwrap());
+                        }
+                    }
+                    Op::WorkerCheck(w, r, sync) => {
+                        if !workers.is_empty() {
+                            let n = workers.len();
+                            let worker = &mut workers[w % n];
+                            worker.check(&pooled(r));
+                            if sync {
+                                worker.sync_stats();
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(svc.metrics(), svc.remerged_metrics());
+                let mut sums = retired;
+                for snap in svc.snapshots() {
+                    sums.checks += snap.checks;
+                    sums.allowed += snap.allowed;
+                    sums.denials += snap.denials;
+                    sums.cache_hits += snap.cache_hits;
+                }
+                let c = svc.counters();
+                prop_assert_eq!(
+                    (sums.checks, sums.allowed, sums.denials, sums.cache_hits),
+                    (c.checks, c.allowed, c.denials, c.cache_hits)
+                );
+            }
+            let dump = svc.window().dump();
+            prop_assert_eq!(dump.intervals_dropped, 0);
+            if let Some(last) = dump.intervals.last() {
+                let mut summed = MetricsRegistry::default();
+                for slot in &dump.intervals {
+                    summed.merge(&slot.delta);
+                }
+                prop_assert_eq!(monotone(&summed), monotone(&last.cumulative));
+            }
+        }
     }
 
     #[test]

@@ -10,9 +10,13 @@
 //!    stats, and SPT occupancy are byte-identical whether it is served
 //!    alone or multiplexed with arbitrary co-tenant traffic; co-tenants
 //!    can neither warm nor evict its tables.
+//!
+//! Plus one regression test: `exec` and `retire` kill the replaced
+//! process, so its worker handles stop admitting under the old filter.
 
 use std::collections::BTreeSet;
 
+use draco_bpf::SeccompAction;
 use draco_core::CheckResult;
 use draco_dracod::{DracoService, ServiceConfig, TenantId};
 use draco_profiles::{ProfileGenerator, ProfileKind, ProfileSpec};
@@ -212,4 +216,55 @@ proptest! {
         prop_assert_eq!(solo_snap.denials, duo_snap.denials);
         prop_assert_eq!(solo_snap.cache_hits, duo_snap.cache_hits);
     }
+}
+
+/// Exec and retire end the replaced process's thread group, as `execve`
+/// kills sibling threads: a worker handle on the old process answers
+/// `KillProcess` instead of admitting under the old filter, and every
+/// check a worker made while its process was live reaches the service
+/// totals.
+#[test]
+fn exec_and_retire_kill_the_replaced_processes_workers() {
+    let read = SyscallRequest::new(
+        0x1000,
+        SyscallId::new(0),
+        ArgSet::from_slice(&[3, 0xaaaa, 64]),
+    );
+    let getpid = SyscallRequest::new(0x1000, SyscallId::new(39), ArgSet::from_slice(&[]));
+    let reads = profile_from(&[read, getpid], "reads");
+    let no_reads = profile_from(&[getpid], "no-reads");
+    assert_eq!(no_reads.evaluate(&read), SeccompAction::KillProcess);
+
+    let mut svc = DracoService::new(ServiceConfig::default());
+    let id = svc.register(&reads).unwrap();
+    let mut old = svc.spawn_worker(id).unwrap();
+    assert_eq!(old.syscall(&read).action, SeccompAction::Allow);
+    assert_eq!(old.syscall(&read).action, SeccompAction::Allow);
+    old.sync_stats();
+
+    svc.exec(id, &no_reads).unwrap();
+    assert_eq!(
+        old.syscall(&read).action,
+        SeccompAction::KillProcess,
+        "the old filter would allow read: exec killed the old group"
+    );
+    let mut out = [CheckResult::KILLED; 2];
+    old.syscall_batch(&[read, getpid], &mut out);
+    assert_eq!(out, [CheckResult::KILLED; 2]);
+    assert_eq!(old.stats().total(), 0, "a dead group checks nothing");
+
+    let mut new = svc.spawn_worker(id).unwrap();
+    assert_eq!(new.syscall(&getpid).action, SeccompAction::Allow);
+    new.sync_stats();
+    svc.retire(id).unwrap();
+    assert_eq!(
+        new.syscall(&getpid).action,
+        SeccompAction::KillProcess,
+        "the filter would allow getpid: retire killed the group"
+    );
+    assert_eq!(new.stats().total(), 0, "a dead group checks nothing");
+
+    drop((old, new));
+    assert_eq!(svc.stats().total(), 3, "every live worker check is counted");
+    assert_eq!(svc.metrics().checker.total(), 3);
 }
